@@ -157,7 +157,8 @@ class Facility:
         """Drive the shared engine until the workload drains; returns the
         facility report.  Raises :class:`FacilityError` if jobs remain
         non-terminal with no events pending (a stuck queue)."""
-        if self._faults is not None:
+        if self._faults is not None and self._fault_handle is None:
+            # a drain driven in slices finds its next fault still pending
             self._arm_next_fault()
         self.engine.run(until=until)
         stuck = [r for r in self.records if not r.terminal]

@@ -16,6 +16,7 @@ One :class:`ManaRankRuntime` exists per MPI rank.  It owns the rank's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.mana.checkpoint_image import CheckpointImage
@@ -132,16 +133,21 @@ class DrainBuffer:
         self.entries = [BufferedMsg(*row) for row in snap]
 
 
-@dataclass
+@dataclass(eq=False)
 class PendingRecv:
-    """A wrapper-level receive that has not yet returned data to the app."""
+    """A wrapper-level receive that has not yet returned data to the app.
+
+    Compared and hashed by identity: the runtime keeps its pending receives
+    as the keys of an insertion-ordered dict.
+    """
 
     vcomm: int
     src_world: int                 # world rank or ANY_SOURCE
     tag: int
     out: Completion
+    #: the real communicator behind ``vcomm``, resolved once by the wrapper
+    real: Communicator
     req: Optional[Request] = None  # lower-half request, if posted
-    attempt: Optional[Callable[[], None]] = None
     active: bool = True
     #: owning call-leaf instance (for the receive journal), if any
     journal_key: Optional[tuple] = None
@@ -254,7 +260,9 @@ class ManaRankRuntime:
         self.buffer = DrainBuffer()
         self.protocol = RankProtocol()
         self.stats = RankStats()
-        self.pending_recvs: list[PendingRecv] = []
+        #: open wrapper-level receives, in posting order (a dict used as an
+        #: ordered set: O(1) removal when one completes)
+        self.pending_recvs: dict[PendingRecv, None] = {}
         self.held_entries: list[Callable[[], None]] = []
         self.ctx_to_vcomm: dict[int, int] = {}
         self.current_trivial_barrier: Optional[Completion] = None
@@ -364,34 +372,35 @@ class ManaRankRuntime:
             count, total = self.profile.get(op, (0, 0))
             self.profile[op] = (count + 1, total + nbytes)
 
-    def guarded_send(self, post_fn: Callable[[], Any]) -> None:
+    def guarded_send(self, post_fn: Callable[..., Any], *args: Any,
+                     **kwargs: Any) -> None:
         """Perform a send inside a multi-op call leaf exactly once per
-        dynamic leaf instance, across restarts.  ``post_fn`` is invoked only
-        if this position's send has not already happened."""
-        key = self.driver.current_call_key()
+        dynamic leaf instance, across restarts.  ``post_fn(*args,
+        **kwargs)`` is invoked only if this position's send has not already
+        happened."""
+        key = self.driver.call_key
         if key is None:
-            post_fn()
+            post_fn(*args, **kwargs)
             return
         pos = self._send_seq.get(key, 0)
         self._send_seq[key] = pos + 1
         if pos < self.sends_done.get(key, 0):
             return  # already sent before the checkpoint; do not duplicate
-        post_fn()
+        post_fn(*args, **kwargs)
         self.sends_done[key] = pos + 1
 
     def _on_leaf_done(self, key: tuple) -> None:
         """Driver hook: the leaf finished; its guard/journal state retires."""
-        self.sends_done.pop(key, None)
-        self._send_seq.pop(key, None)
-        self.recv_journal.pop(key, None)
-        self._recv_seq.pop(key, None)
-        self.vreq_sites.pop(key, None)
-        self._vreq_seq.pop(key, None)
-        for kind, vreq in self._waited_by_leaf.pop(key, ()):
-            if kind == "p2p":
-                self.vrequests.pop(vreq, None)
-            else:
-                self.icolls.pop(vreq, None)
+        for per_leaf in (self.sends_done, self._send_seq, self.recv_journal,
+                         self._recv_seq, self.vreq_sites, self._vreq_seq):
+            if key in per_leaf:
+                del per_leaf[key]
+        if key in self._waited_by_leaf:
+            for kind, vreq in self._waited_by_leaf.pop(key):
+                if kind == "p2p":
+                    self.vrequests.pop(vreq, None)
+                else:
+                    self.icolls.pop(vreq, None)
 
     # ------------------------------------- nonblocking p2p (virtual requests)
 
@@ -402,7 +411,7 @@ class ManaRankRuntime:
         minted and remembered under (leaf instance, position); a re-executed
         leaf (restart) gets the original record back and must not re-post.
         """
-        key = self.driver.current_call_key()
+        key = self.driver.call_key
         if key is not None:
             pos = self._vreq_seq.get(key, 0)
             self._vreq_seq[key] = pos + 1
@@ -419,7 +428,7 @@ class ManaRankRuntime:
     def defer_free(self, kind: str, vreq: int) -> None:
         """MPI_Wait frees the request — but only once the waiting leaf has
         completed, so that a restart-driven re-execution still finds it."""
-        key = self.driver.current_call_key()
+        key = self.driver.call_key
         if key is None:
             if kind == "p2p":
                 self.vrequests.pop(vreq, None)
@@ -435,22 +444,26 @@ class ManaRankRuntime:
         if rec.completion is not None and not rec.completion.done:
             rec.completion.resolve(value)
 
-    def attach_irecv(self, rec: VRequest) -> None:
-        """Post (or re-post, after restart) the receive behind ``rec``."""
+    def attach_irecv(self, rec: VRequest,
+                     real: Communicator) -> Callable[[], None]:
+        """Post (or re-post, after restart) the receive behind ``rec`` on
+        ``real``, the communicator ``rec.vcomm`` resolves to; returns the
+        attempt to run once the wrapper overhead is charged."""
         out = Completion(self.engine, label=f"mana-irecv-r{self.rank}")
         rec.completion = out
-        pend = self.add_pending_recv(rec.vcomm, rec.src_world, rec.tag, out)
+        pend = self.add_pending_recv(rec.vcomm, rec.src_world, rec.tag, out,
+                                     real)
         # request persistence supersedes the leaf-scoped journal
         pend.journal_key = None
         out.on_done(lambda value: self.vreq_resolve(rec, value))
-        api_attempt = lambda: self.attempt_recv(pend)
-        pend.attempt = api_attempt
-        return api_attempt
+        return lambda: self.attempt_recv(pend)
 
     def _repost_pending_irecvs(self) -> None:
         for rec in self.vrequests.values():
             if rec.kind == "recv" and not rec.done:
-                attempt = self.attach_irecv(rec)
+                attempt = self.attach_irecv(
+                    rec, self.table.resolve(HandleKind.COMM, rec.vcomm)
+                )
                 attempt()
 
     # ------------------------------------- nonblocking collectives (§4.2)
@@ -495,16 +508,17 @@ class ManaRankRuntime:
     # --------------------------------------------------------- pending recvs
 
     def add_pending_recv(self, vcomm: int, src_world: int, tag: int,
-                         out: Completion) -> PendingRecv:
-        """Track a wrapper-level receive until data reaches the app."""
-        pend = PendingRecv(vcomm=vcomm, src_world=src_world, tag=tag, out=out)
-        key = self.driver.current_call_key()
+                         out: Completion, real: Communicator) -> PendingRecv:
+        """Track a wrapper-level receive until data reaches the app;
+        ``real`` is the communicator ``vcomm`` currently resolves to."""
+        pend = PendingRecv(vcomm, src_world, tag, out, real)
+        key = self.driver.call_key
         if key is not None:
             pos = self._recv_seq.get(key, 0)
             self._recv_seq[key] = pos + 1
             pend.journal_key = key
             pend.journal_pos = pos
-        self.pending_recvs.append(pend)
+        self.pending_recvs[pend] = None
         return pend
 
     def attempt_recv(self, pend: PendingRecv) -> None:
@@ -515,39 +529,39 @@ class ManaRankRuntime:
         """
         if not pend.active:
             return
-        if pend.journal_key is not None:
-            journal = self.recv_journal.get(pend.journal_key, {})
+        if pend.journal_key in self.recv_journal:
+            journal = self.recv_journal[pend.journal_key]
             if pend.journal_pos in journal:
                 data, status = journal[pend.journal_pos]
                 self._finish_recv(pend, data, status, count=False,
                                   journal=False)
                 return
-        hit = self.buffer.take(pend.vcomm, pend.src_world, pend.tag)
-        if hit is not None:
-            self._finish_recv(pend, hit.data,
-                              Status(self._local_rank_of(pend.vcomm, hit.src_world),
-                                     hit.tag, hit.size),
-                              count=False, journal=True)
-            return
-        real = self.table.resolve(HandleKind.COMM, pend.vcomm)
-        source = (
-            ANY_SOURCE if pend.src_world == ANY_SOURCE
-            else real.rank_of_world(pend.src_world)
-        )
-        req = self.endpoint.irecv(source=source, tag=pend.tag, comm=real)
+        if self.buffer.entries:
+            hit = self.buffer.take(pend.vcomm, pend.src_world, pend.tag)
+            if hit is not None:
+                self._finish_recv(
+                    pend, hit.data,
+                    Status(pend.real.rank_of_world(hit.src_world), hit.tag,
+                           hit.size),
+                    count=False, journal=True,
+                )
+                return
+        # the wrapper validated and translated the source already
+        req = self.endpoint.irecv(tag=pend.tag, comm=pend.real,
+                                  source_world=pend.src_world)
         pend.req = req
-        req.completion.on_done(
-            lambda value: self._lower_recv_done(pend, value)
-        )
+        req.completion.on_done(partial(self._lower_recv_done, pend))
 
     def _lower_recv_done(self, pend: PendingRecv, value: Any) -> None:
         if not pend.active:
             return
         data, status = value
         # status.source is comm-local; bookmark receives by world rank
-        real = self.table.resolve(HandleKind.COMM, pend.vcomm)
+        src_world = pend.src_world
+        if src_world == ANY_SOURCE:
+            src_world = pend.real.world_of_rank(status.source)
         self._finish_recv(pend, data, status, count=True, journal=True,
-                          src_world=real.world_of_rank(status.source))
+                          src_world=src_world)
 
     def _finish_recv(self, pend: PendingRecv, data: Any, status: Status,
                      count: bool, journal: bool,
@@ -555,7 +569,7 @@ class ManaRankRuntime:
         pend.active = False
         pend.req = None
         if pend in self.pending_recvs:
-            self.pending_recvs.remove(pend)
+            del self.pending_recvs[pend]
         if count:
             self.counters.count_receive(src_world)
         if journal and pend.journal_key is not None:
@@ -563,10 +577,6 @@ class ManaRankRuntime:
                 pend.journal_pos
             ] = (data, status)
         pend.out.resolve((data, status))
-
-    def _local_rank_of(self, vcomm: int, world_rank: int) -> Optional[int]:
-        real = self.table.resolve(HandleKind.COMM, vcomm)
-        return real.rank_of_world(world_rank)
 
     # --------------------------------------------------------- fault injection
 
@@ -582,10 +592,10 @@ class ManaRankRuntime:
             return
         self.alive = False
         self.driver.kill()
-        for pend in list(self.pending_recvs):
+        for pend in self.pending_recvs:
             pend.active = False
             pend.out.cancel()
-        self.pending_recvs = []
+        self.pending_recvs = {}
         self.held_entries = []
         self._revision_cont = None
         self._drain_expected = None
@@ -801,8 +811,8 @@ class ManaRankRuntime:
                 self.endpoint.cancel_recv(pend.req)
             self._finish_recv(
                 pend, hit.data,
-                Status(self._local_rank_of(pend.vcomm, hit.src_world),
-                       hit.tag, hit.size),
+                Status(pend.real.rank_of_world(hit.src_world), hit.tag,
+                       hit.size),
                 count=False, journal=True,
             )
         self._post_pending_icolls()

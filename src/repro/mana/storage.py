@@ -25,7 +25,7 @@ import json
 import pathlib
 import pickle
 import struct
-from typing import Union
+from typing import Optional, Union
 
 from repro.mana.checkpoint_image import (
     CheckpointError,
@@ -71,6 +71,12 @@ def save_checkpoint(ckpt: CheckpointSet, directory: Union[str, pathlib.Path]) ->
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest_path = directory / "manifest.json"
+    existing = _existing_rank_count(manifest_path)
+    if existing is not None and existing != ckpt.n_ranks:
+        raise CheckpointError(
+            f"{directory} holds a {existing}-rank checkpoint set; refusing "
+            f"to overwrite it with {ckpt.n_ranks} ranks"
+        )
     entries = []
     for image in ckpt.images:
         blob = _image_bytes(image)
@@ -92,6 +98,15 @@ def save_checkpoint(ckpt: CheckpointSet, directory: Union[str, pathlib.Path]) ->
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest_path
+
+
+def _existing_rank_count(manifest_path: pathlib.Path) -> Optional[int]:
+    """``n_ranks`` of the manifest already at ``manifest_path``, or None if
+    there is none (an unreadable manifest guards no loadable set)."""
+    try:
+        return int(json.loads(manifest_path.read_text())["n_ranks"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
 def load_checkpoint(directory: Union[str, pathlib.Path]) -> CheckpointSet:

@@ -34,6 +34,11 @@ class HandleKind(enum.Enum):
     REQUEST = "request"
     FILE = "file"
 
+    # Members are singletons, so identity is a valid hash; it runs in C,
+    # where Enum's default hashes the member name in Python on every
+    # handle-table access (every translated MPI call).
+    __hash__ = object.__hash__
+
 
 #: The application-visible handle for MPI_COMM_WORLD, fixed by convention
 #: (real MPI fixes its predefined handles too).

@@ -61,12 +61,21 @@ class ManaApi(MpiApi):
 
     def __init__(self, runtime: "repro.mana.rank_runtime.ManaRankRuntime") -> None:
         self.rt = runtime
+        rank = runtime.rank
         # Interposition-mechanism counters (§3.3), memoized for the hot path.
         metrics = runtime.engine.metrics
-        self._m_fs = metrics.counter("mana.fs_switches", rank=runtime.rank)
-        self._m_lookups = metrics.counter(
-            "mana.vhandle_lookups", rank=runtime.rank
+        self._m_fs = metrics.counter("mana.fs_switches", rank=rank)
+        self._m_lookups = metrics.counter("mana.vhandle_lookups", rank=rank)
+        # The per-call price is constant (the node's kernel model is
+        # frozen): two FS-register switches plus one handle lookup, and the
+        # metadata record on top for p2p calls.
+        self._call_cost = (
+            runtime.proc.kernel.upper_lower_transition() + 1 * LOOKUP_COST
         )
+        self._p2p_cost = self._call_cost + P2P_METADATA_COST
+        self._wrapper_label = f"mana-r{rank}:wrapper"
+        self._send_label = f"mana-send-r{rank}"
+        self._recv_label = f"mana-recv-r{rank}"
 
     # ----------------------------------------------------------- properties
 
@@ -92,16 +101,6 @@ class ManaApi(MpiApi):
             HandleKind.COMM, VCOMM_WORLD if vcomm is None else vcomm
         )
 
-    def _overhead(self, handles: int = 1, p2p: bool = False) -> float:
-        # One interposed call = upper->lower->upper (two FS-register
-        # switches) plus one table lookup per translated handle.
-        self._m_fs.inc(2)
-        self._m_lookups.inc(handles)
-        cost = self.rt.proc.fs_transition_cost() + handles * LOOKUP_COST
-        if p2p:
-            cost += P2P_METADATA_COST
-        return cost
-
     def _trace_call(self, name: str, out: Completion) -> None:
         """Record an MPI-call span from now until ``out`` resolves."""
         tr = self.rt.engine.tracer
@@ -109,63 +108,78 @@ class ManaApi(MpiApi):
             span = tr.begin(name, cat=Category.MPI, rank=self.rank)
             out.on_done(lambda _v: tr.end(span))
 
-    def _after_overhead(self, cost: float, fn: Callable[[], None]) -> None:
-        """Charge interposition cost *serially* on this rank's CPU.
+    def _after_overhead(self, fn: Callable[..., None], *args: Any,
+                        p2p: bool = False) -> None:
+        """Charge one interposed call, then run ``fn(*args)`` on this
+        rank's CPU once the charge has elapsed.
 
-        Back-to-back wrapper calls issued from one leaf (e.g. the sends and
-        receives of an exchange) each occupy the CPU for their FS switches
-        and table lookups one after another, exactly as the real wrapper
-        does — this is what makes call-dense workloads (GROMACS) show
-        percentage overhead while batched transfers still overlap on the
-        wire.
+        One call is upper->lower->upper (two FS-register switches) plus one
+        virtual-handle lookup, and a metadata record for p2p calls.  The
+        cost is charged *serially* on this rank's CPU: back-to-back wrapper
+        calls issued from one leaf (e.g. the sends and receives of an
+        exchange) each occupy the CPU for their FS switches and table
+        lookups one after another, exactly as the real wrapper does — this
+        is what makes call-dense workloads (GROMACS) show percentage
+        overhead while batched transfers still overlap on the wire.
         """
-        engine = self.rt.engine
-        start = max(engine.now, self.rt.cpu_busy_until)
-        fire_at = start + cost
-        self.rt.cpu_busy_until = fire_at
-        engine.call_at(fire_at, fn, label=f"mana-r{self.rank}:wrapper")
+        rt = self.rt
+        # plain increments of the memoized counters (always positive), and
+        # SplitProcess.fs_transition_cost's count without its cost lookup
+        self._m_fs.value += 2
+        self._m_lookups.value += 1
+        rt.proc.fs_switches += 2
+        engine = rt.engine
+        now = engine.now
+        busy = rt.cpu_busy_until
+        fire_at = (now if now >= busy else busy) + (
+            self._p2p_cost if p2p else self._call_cost
+        )
+        rt.cpu_busy_until = fire_at
+        engine.call_at(fire_at, fn, *args, label=self._wrapper_label)
 
     # ------------------------------------------------------------------ p2p
 
     def send(self, dest: int, data: Any, tag: int = 0,
              comm: Optional[int] = None, size: Optional[int] = None) -> Completion:
         """MPI_Send (blocking; resolves when the buffer is reusable)."""
-        real = self._resolve_comm(comm)
+        rt = self.rt
+        real = rt.table.resolve(HandleKind.COMM,
+                                VCOMM_WORLD if comm is None else comm)
         real.validate_rank(dest)
         dst_world = real.world_of_rank(dest)
         # Metadata recorded at call time: this is the sender-side bookmark.
-        self.rt.counters.count_send(dst_world)
-        self.rt.profile_op("send", size if size is not None else 0)
-        out = Completion(self.rt.engine, label=f"mana-send-r{self.rank}")
-        self._trace_call("send", out)
+        rt.counters.count_send(dst_world)
+        if rt.profile is not None:
+            rt.profile_op("send", size if size is not None else 0)
+        out = Completion(rt.engine, label=self._send_label)
+        if rt.engine.tracer.enabled:
+            self._trace_call("send", out)
 
         def issue() -> None:
-            self.rt.endpoint.send(
-                dest, data, tag=tag, comm=real, size=size
-            ).on_done(out.resolve)
+            rt.endpoint.isend(
+                dest, data, tag=tag, comm=real, size=size, dest_world=dst_world
+            ).completion.on_done(out.resolve)
 
-        self._after_overhead(self._overhead(p2p=True), issue)
+        self._after_overhead(issue, p2p=True)
         return out
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              comm: Optional[int] = None) -> Completion:
         """MPI_Recv; resolves with (data, Status)."""
+        rt = self.rt
         vcomm = VCOMM_WORLD if comm is None else comm
-        real = self._resolve_comm(comm)
+        real = rt.table.resolve(HandleKind.COMM, vcomm)
         real.validate_rank(source, allow_any=True)
         src_world = (
             ANY_SOURCE if source == ANY_SOURCE else real.world_of_rank(source)
         )
-        self.rt.profile_op("recv")
-        out = Completion(self.rt.engine, label=f"mana-recv-r{self.rank}")
-        self._trace_call("recv", out)
-        pend = self.rt.add_pending_recv(vcomm, src_world, tag, out)
-
-        def attempt() -> None:
-            self.rt.attempt_recv(pend)
-
-        pend.attempt = attempt
-        self._after_overhead(self._overhead(p2p=True), attempt)
+        if rt.profile is not None:
+            rt.profile_op("recv")
+        out = Completion(rt.engine, label=self._recv_label)
+        if rt.engine.tracer.enabled:
+            self._trace_call("recv", out)
+        pend = rt.add_pending_recv(vcomm, src_world, tag, out, real)
+        self._after_overhead(rt.attempt_recv, pend, p2p=True)
         return out
 
     def sendrecv(self, dest: int, data: Any, source: int,
@@ -175,9 +189,8 @@ class ManaApi(MpiApi):
         happen exactly once per dynamic call-leaf instance, so a restart
         that re-executes the leaf (after the original send was drained into
         the peer's buffer) does not duplicate the message."""
-        self.rt.guarded_send(
-            lambda: self.send(dest, data, tag=tag, comm=comm, size=size)
-        )
+        self.rt.guarded_send(self.send, dest, data, tag=tag, comm=comm,
+                             size=size)
         return self.recv(source=source, tag=tag, comm=comm)
 
     def exchange(self, sends: list, recvs: list,
@@ -194,10 +207,8 @@ class ManaApi(MpiApi):
         from repro.simtime.engine import all_of
 
         for dest, data, tag, size in sends:
-            self.rt.guarded_send(
-                lambda d=dest, x=data, t=tag, z=size:
-                    self.send(d, x, tag=t, comm=comm, size=z)
-            )
+            self.rt.guarded_send(self.send, dest, data, tag=tag, comm=comm,
+                                 size=size)
         outs = [self.recv(source=src, tag=tag, comm=comm)
                 for src, tag in recvs]
         return all_of(self.rt.engine, outs,
@@ -227,7 +238,7 @@ class ManaApi(MpiApi):
         rec, fresh = self.rt.vreq_at_site("recv")
         if fresh:
             vcomm = VCOMM_WORLD if comm is None else comm
-            real = self._resolve_comm(comm)
+            real = self._resolve_comm(vcomm)
             real.validate_rank(source, allow_any=True)
             rec.vcomm = vcomm
             rec.tag = tag
@@ -235,8 +246,8 @@ class ManaApi(MpiApi):
                 ANY_SOURCE if source == ANY_SOURCE
                 else real.world_of_rank(source)
             )
-            attempt = self.rt.attach_irecv(rec)
-            self._after_overhead(self._overhead(p2p=True), attempt)
+            attempt = self.rt.attach_irecv(rec, real)
+            self._after_overhead(attempt, p2p=True)
         return rec.vreq
 
     def _wait_p2p(self, rec) -> Completion:
@@ -257,7 +268,7 @@ class ManaApi(MpiApi):
             else:  # restored-but-unwaited send records resolve to None
                 finish(rec.value)
 
-        self._after_overhead(self._overhead(), enter)
+        self._after_overhead(enter)
         return out
 
     def waitall(self, vreqs: list[int], comm: Optional[int] = None) -> Completion:
@@ -285,9 +296,7 @@ class ManaApi(MpiApi):
 
         if not rt.two_phase_enabled:
             # Ablation: bare interposition, no Algorithm-1 wrapper.
-            self._after_overhead(
-                self._overhead(), lambda: issue(real).on_done(out.resolve)
-            )
+            self._after_overhead(lambda: issue(real).on_done(out.resolve))
             return out
 
         def enter() -> None:
@@ -336,7 +345,7 @@ class ManaApi(MpiApi):
 
             barrier.on_done(committed)
 
-        self._after_overhead(self._overhead(), enter)
+        self._after_overhead(enter)
         return out
 
     def barrier(self, comm: Optional[int] = None) -> Completion:
@@ -431,7 +440,7 @@ class ManaApi(MpiApi):
         self._resolve_comm(vcomm)  # validates (and charges a lookup)
         rec = rt.new_icoll(op, VCOMM_WORLD if vcomm is None else vcomm, args)
         out = Completion(rt.engine, label=f"mana-i{op}-r{self.rank}")
-        self._after_overhead(self._overhead(), lambda: out.resolve(rec.vreq))
+        self._after_overhead(lambda: out.resolve(rec.vreq))
         return out
 
     def iallreduce(self, data: Any, op: ReduceOp, comm: Optional[int] = None,
@@ -524,7 +533,7 @@ class ManaApi(MpiApi):
 
             rec.barrier.on_done(committed)
 
-        self._after_overhead(self._overhead(), enter)
+        self._after_overhead(enter)
         return out
 
     def test(self, vreq: int) -> Completion:
@@ -535,20 +544,16 @@ class ManaApi(MpiApi):
         p2p = rt.vrequests.get(vreq)
         if p2p is not None:
             out = Completion(rt.engine, label=f"mana-test-r{self.rank}")
-            self._after_overhead(self._overhead(),
-                                 lambda: out.resolve(bool(p2p.done)))
+            self._after_overhead(lambda: out.resolve(bool(p2p.done)))
             return out
         rec = rt.icolls.get(vreq)
         if rec is None:
             raise VirtualizationError(f"unknown request handle {vreq}")
         out = Completion(rt.engine, label=f"mana-test-r{self.rank}")
-        self._after_overhead(
-            self._overhead(),
-            lambda: out.resolve(
-                rec.done or (rec.posted and rec.barrier is not None
-                             and rec.barrier.done)
-            ),
-        )
+        self._after_overhead(lambda: out.resolve(
+            rec.done or (rec.posted and rec.barrier is not None
+                         and rec.barrier.done)
+        ))
         return out
 
     # ----------------------- persistent calls: record, virtualize, replay
@@ -670,9 +675,8 @@ class ManaApi(MpiApi):
         binding = self._resolve_file(vfile)
         out = Completion(self.rt.engine, label=f"mana-fwrite-r{self.rank}")
         self._after_overhead(
-            self._overhead(),
             lambda: binding.real.write_at(offset, data, size=size)
-                            .on_done(out.resolve),
+                            .on_done(out.resolve)
         )
         return out
 
@@ -682,9 +686,8 @@ class ManaApi(MpiApi):
         binding = self._resolve_file(vfile)
         out = Completion(self.rt.engine, label=f"mana-fread-r{self.rank}")
         self._after_overhead(
-            self._overhead(),
             lambda: binding.real.read_at(offset, length, size=size)
-                            .on_done(out.resolve),
+                            .on_done(out.resolve)
         )
         return out
 

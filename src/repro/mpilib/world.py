@@ -258,7 +258,8 @@ class MpiWorld:
     # -------------------------------------------------------- wire helpers
 
     def wire_send(
-        self, src: int, dst: int, size: int, payload: Any, meta: dict
+        self, src: int, dst: int, size: int, payload: Any, meta: dict,
+        transport: Interconnect,
     ) -> Completion:
         """FIFO-ordered transfer between two world ranks; resolves on arrival.
 
@@ -266,8 +267,9 @@ class MpiWorld:
         cannot finish arriving before its predecessor plus its own wire
         occupancy.  This models a point-to-point link as a shared serial
         resource (what makes flooding benchmarks saturate at β).
+        ``transport`` is :meth:`transport_between` of the pair (a sender
+        already has it: it prices the send's CPU cost).
         """
-        transport = self.transport_between(src, dst)
         chan = (src, dst)
         nb = self._channel_last_arrival.get(chan, 0.0) \
             + size / transport.beta + _FIFO_EPS
@@ -432,9 +434,15 @@ class MpiEndpoint:
         self.rank = rank
         self.comm_world = comm_world
         self.node_id = world.node_of(rank)
+        #: the implementation this endpoint belongs to
+        self.impl: MpiImplementation = world.impl
+        #: the shared simulation engine
+        self.engine: Engine = world.engine
         self._posted: list[_PostedRecv] = []
         self._unexpected: list[MsgRecord] = []
         self._pending_rts: list[_PendingRendezvous] = []
+        #: rendezvous sends awaiting their CTS: send_id -> (record, done, cpu)
+        self._rendezvous_out: dict[int, tuple] = {}
         self._coll_seq: dict[int, int] = {}
         #: When set, *all* newly arriving messages are handed to this sink
         #: instead of the matching layer (MANA's drain mode).
@@ -450,16 +458,6 @@ class MpiEndpoint:
         self._m_recv_bytes = metrics.counter("mpi.p2p.recv_bytes", rank=rank)
 
     # ---------------------------------------------------------- accounting
-
-    @property
-    def impl(self) -> MpiImplementation:
-        """The implementation this endpoint belongs to."""
-        return self.world.impl
-
-    @property
-    def engine(self) -> Engine:
-        """The shared simulation engine."""
-        return self.world.engine
 
     def bump_coll_seq(self, context_id: int) -> int:
         """Advance this rank's collective sequence on a context."""
@@ -485,13 +483,21 @@ class MpiEndpoint:
         comm: Optional[Communicator] = None,
         size: Optional[int] = None,
         extra_cpu: float = 0.0,
+        *,
+        dest_world: Optional[int] = None,
     ) -> Request:
         """Nonblocking send.  ``size`` overrides the modeled wire size
-        (defaults to the numpy payload's nbytes, or 64 for objects)."""
+        (defaults to the numpy payload's nbytes, or 64 for objects).
+        ``dest_world`` is ``dest``'s world rank when the caller has already
+        validated and translated ``dest`` in ``comm`` (MANA's wrapper
+        does); the endpoint then skips its own check."""
         comm = comm or self.comm_world
-        comm.validate_rank(dest)
+        if dest_world is None:
+            comm.validate_rank(dest)
+            dst_world = comm.world_of_rank(dest)
+        else:
+            dst_world = dest_world
         self.calls += 1
-        dst_world = comm.world_of_rank(dest)
         wire = int(size if size is not None else _default_size(data))
         seq = self.world.next_channel_seq(self.rank, dst_world)
         record = MsgRecord(
@@ -504,13 +510,14 @@ class MpiEndpoint:
         self._m_sent_bytes.inc(wire)
         done = Completion(self.engine, label=f"send{self.rank}->{dst_world}")
         req = Request(self.world.new_request_handle(), "send", done)
-        cpu = self._entry_cost(extra_cpu, wire) + \
-            self.world.transport_between(self.rank, dst_world).per_message_cpu
+        transport = self.world.transport_between(self.rank, dst_world)
+        cpu = self._entry_cost(extra_cpu, wire) + transport.per_message_cpu
 
         if wire <= self.impl.eager_threshold:
             # Eager: inject at once; local completion after CPU cost.
             arrival = self.world.wire_send(
-                self.rank, dst_world, wire, payload=record, meta={"kind": "eager"},
+                self.rank, dst_world, wire, payload=record,
+                meta={"kind": "eager"}, transport=transport,
             )
             arrival.on_done(
                 lambda msg: self.world.endpoints[dst_world]._on_data_arrival(record)
@@ -525,9 +532,8 @@ class MpiEndpoint:
             )
             arrival = self.world.wire_send(
                 self.rank, dst_world, 0, payload=rts,
-                meta={"kind": "rts", "send_id": send_id},
+                meta={"kind": "rts", "send_id": send_id}, transport=transport,
             )
-            self._rendezvous_out = getattr(self, "_rendezvous_out", {})
             self._rendezvous_out[send_id] = (record, done, cpu)
             arrival.on_done(
                 lambda msg: self.world.endpoints[dst_world]._on_rts(rts, send_id)
@@ -544,14 +550,23 @@ class MpiEndpoint:
         tag: int = ANY_TAG,
         comm: Optional[Communicator] = None,
         extra_cpu: float = 0.0,
+        *,
+        source_world: Optional[int] = None,
     ) -> Request:
-        """Nonblocking receive; completion resolves with (data, Status)."""
+        """Nonblocking receive; completion resolves with (data, Status).
+        ``source_world`` is the source as a world rank (or ANY_SOURCE) when
+        the caller has already validated and translated it in ``comm``
+        (MANA's wrapper does); ``source`` is then not consulted."""
         comm = comm or self.comm_world
-        comm.validate_rank(source, allow_any=True)
+        if source_world is None:
+            comm.validate_rank(source, allow_any=True)
+            src_world = (
+                ANY_SOURCE if source == ANY_SOURCE
+                else comm.world_of_rank(source)
+            )
+        else:
+            src_world = source_world
         self.calls += 1
-        src_world = (
-            ANY_SOURCE if source == ANY_SOURCE else comm.world_of_rank(source)
-        )
         inner = Completion(self.engine, label=f"recv@{self.rank}")
         posted = _PostedRecv(
             context_id=comm.context_id, src=src_world, tag=tag, completion=inner,
@@ -650,6 +665,7 @@ class MpiEndpoint:
         cts = self.world.wire_send(
             self.rank, pend.record.src, 0, payload=None,
             meta={"kind": "cts", "send_id": pend.send_id},
+            transport=self.world.transport_between(self.rank, pend.record.src),
         )
 
         def on_cts(_msg: Any) -> None:
@@ -657,6 +673,7 @@ class MpiEndpoint:
             data_arrival = self.world.wire_send(
                 record.src, record.dst, record.size, payload=record,
                 meta={"kind": "data", "send_id": pend.send_id},
+                transport=self.world.transport_between(record.src, record.dst),
             )
             send_done.resolve_after(cpu)
 

@@ -5,8 +5,9 @@ restarted process resumes mid-function transparently.  A running Python
 frame cannot be serialized, so applications in this reproduction are written
 as *structured programs* — trees of :class:`Seq`/:class:`Loop`/
 :class:`While`/:class:`If`/:class:`Compute`/:class:`Call` nodes — executed
-by an :class:`Interpreter` whose continuation (a stack of frames holding
-node paths and loop counters) is plain picklable data.
+by an :class:`Interpreter` whose continuation (a program counter into the
+program's compiled instruction list plus a stack of loop counters) is plain
+picklable data.
 
 The essential property is preserved: a checkpoint can be cut while a rank is
 *anywhere* an MPI wrapper allows (between calls, blocked in a receive,

@@ -2,8 +2,10 @@
 
 Nodes are immutable program *text*: they hold Python callables (compute
 kernels, MPI call builders, loop bounds, conditions) and are addressed by
-*paths* — tuples of child indices from the root — so that interpreter
-continuations can reference them without serializing them.
+*paths* — tuples of child indices from the root.  The interpreter compiles
+the tree to a flat instruction list, so continuations reference program
+points by integer program counter without serializing any node; a leaf's
+path survives as its call-site identity.
 """
 
 from __future__ import annotations
@@ -184,6 +186,9 @@ class Program:
             raise ProgramError("Program root must be a node")
         self.root = root
         self.name = name
+        #: the instruction list, compiled and cached by the interpreter on
+        #: first use (:func:`repro.mprog.interp.compile_program`)
+        self.compiled = None
 
     def node_at(self, path: Sequence[int]) -> Node:
         """Resolve a child-index path from the root."""

@@ -7,14 +7,16 @@ Rank drivers (native or MANA) own the scheduling policy: they decide when to
 execute the returned leaves against the simulation engine, which is what
 lets a checkpoint helper freeze a rank *between* those decisions.
 
-Continuations are stacks of :class:`Frame` records holding node paths and
-counters only — ``snapshot()`` / ``restore()`` round-trip through pickle.
+Each :class:`~repro.mprog.ast.Program` is compiled once (and cached on the
+program) into a flat instruction list; see :func:`compile_program` for the
+instruction set.  The interpreter runs from an integer program counter plus
+a stack of ``[iters, count]`` loop counters, so a continuation is four
+plain values — ``snapshot()`` / ``restore()`` round-trip through pickle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.mprog.ast import (
     Call,
@@ -46,25 +48,106 @@ class ProgramState(dict):
         self[name] = value
 
 
-@dataclass
-class Frame:
-    """One continuation frame.  ``kind`` is the node type short name."""
+class Action(NamedTuple):
+    """What the driver should do next.
 
-    path: tuple[int, ...]
-    kind: str                    # "seq" | "loop" | "while" | "if" | "leaf"
-    idx: int = 0                 # seq: next child
-    iters: int = 0               # loop/while: completed passes
-    count: int = 0               # loop: evaluated bound
-    branch: int = -1             # if: -1 undecided, 0 then, 1 else, 2 done
-
-
-@dataclass(frozen=True)
-class Action:
-    """What the driver should do next."""
+    Leaf actions are built once, at compile time.  ``path`` is the leaf's
+    child-index path from the root (call-site identity for MANA's send
+    guards and receive journals); ``cost`` is a compute leaf's modeled
+    duration when it is a non-negative constant, else None (evaluate
+    ``node.eval_cost`` per execution).
+    """
 
     kind: str                    # "compute" | "call" | "done"
     node: Optional[Node] = None
     path: tuple[int, ...] = ()
+    cost: Optional[float] = None
+
+
+DONE = Action(kind="done")
+
+# Instruction set.  Every instruction is a tuple whose first item is the
+# opcode; ``exit``/``target`` operands are program counters.
+#
+#   (LEAF, action)               stop here and hand ``action`` to the driver
+#   (LOOP_ENTER, loop)           evaluate the bound once, push [0, count],
+#                                publish state[var] = 0
+#   (LOOP_TEST, var, exit)       top pass < count: publish state[var] and
+#                                enter the body; else pop, jump to exit
+#   (LOOP_NEXT, test)            count a finished pass, jump to the test
+#   (WHILE_TEST, cond, exit)     cond(state) true: body; else jump to exit
+#   (IF, cond, orelse)           cond(state) true: then-branch; else jump
+#   (JUMP, target)
+LEAF, LOOP_ENTER, LOOP_TEST, LOOP_NEXT, WHILE_TEST, IF, JUMP = range(7)
+
+
+class CompiledProgram(NamedTuple):
+    """A program's instruction list plus, for every program counter
+    (including the end, ``len(code)``), the number of enclosing loops — the
+    loop-stack depth a valid continuation must have there."""
+
+    code: tuple[tuple, ...]
+    depth: tuple[int, ...]
+
+
+def compile_program(program: Program) -> CompiledProgram:
+    """The program's instruction list, compiled on first use and cached on
+    the program (the tree is immutable program text)."""
+    if program.compiled is not None:
+        return program.compiled
+    code: list = []
+    depth: list[int] = []
+    def walk(node: Node, path: tuple[int, ...], d: int) -> None:
+        # a jump's target is patched in once the code it skips is laid out
+        if isinstance(node, Compute):
+            cost = node.cost
+            const = float(cost) if not callable(cost) and cost >= 0 else None
+            code.append((LEAF, Action("compute", node, path, const)))
+            depth.append(d)
+        elif isinstance(node, Call):
+            code.append((LEAF, Action("call", node, path)))
+            depth.append(d)
+        elif isinstance(node, Seq):
+            for i, child in enumerate(node.children):
+                walk(child, path + (i,), d)
+        elif isinstance(node, Loop):
+            code.append((LOOP_ENTER, node))
+            test = len(code)
+            code.append(None)
+            depth.extend((d, d + 1))
+            walk(node.body, path + (0,), d + 1)
+            code.append((LOOP_NEXT, test))
+            depth.append(d + 1)
+            code[test] = (LOOP_TEST, node.var, len(code))
+        elif isinstance(node, While):
+            test = len(code)
+            code.append(None)
+            depth.append(d)
+            walk(node.body, path + (0,), d)
+            code.append((JUMP, test))
+            depth.append(d)
+            code[test] = (WHILE_TEST, node.cond, len(code))
+        elif isinstance(node, If):
+            branch = len(code)
+            code.append(None)
+            depth.append(d)
+            walk(node.then, path + (0,), d)
+            if node.orelse is None:
+                code[branch] = (IF, node.cond, len(code))
+                return
+            skip = len(code)
+            code.append(None)
+            depth.append(d)
+            code[branch] = (IF, node.cond, len(code))
+            walk(node.orelse, path + (1,), d)
+            code[skip] = (JUMP, len(code))
+        else:
+            raise ProgramError(f"unknown node type {type(node).__name__}")
+
+    walk(program.root, (), 0)
+    depth.append(0)
+    program.compiled = CompiledProgram(tuple(code), tuple(depth))
+    return program.compiled
 
 
 class Interpreter:
@@ -73,50 +156,76 @@ class Interpreter:
     def __init__(self, program: Program, state: Optional[ProgramState] = None) -> None:
         self.program = program
         self.state = state if state is not None else ProgramState()
-        self.stack: list[Frame] = [self._open_frame((), program.root)]
+        self._compiled = compile_program(program)
+        self._code = self._compiled.code
+        #: program counter: the next instruction (a LEAF while one is
+        #: selected, ``len(code)`` once finished)
+        self.pc = 0
+        #: ``[iters, count]`` per enclosing Loop, innermost last
+        self.loops: list[list[int]] = []
         self.finished = False
         #: number of leaves completed (diagnostics / progress reporting)
         self.leaves_done = 0
+        #: True between next_action returning a leaf and leaf_done
+        self._at_leaf = False
 
     # ----------------------------------------------------------- execution
 
     def next_action(self) -> Action:
         """The next leaf to execute (idempotent until :meth:`leaf_done`)."""
-        while self.stack:
-            frame = self.stack[-1]
-            if frame.kind == "leaf":
-                node = self.program.node_at(frame.path)
-                return Action(
-                    kind="compute" if isinstance(node, Compute) else "call",
-                    node=node, path=frame.path,
-                )
-            node = self.program.node_at(frame.path)
-            child_idx = self._select_child(frame, node)
-            if child_idx is None:
-                self._pop()
-                continue
-            child = node.children[child_idx]
-            child_path = frame.path + (child_idx,)
-            self.stack.append(self._open_frame(child_path, child))
+        code = self._code
+        end = len(code)
+        pc = self.pc
+        state = self.state
+        loops = self.loops
+        while pc < end:
+            ins = code[pc]
+            op = ins[0]
+            if op == LEAF:
+                self.pc = pc
+                self._at_leaf = True
+                return ins[1]
+            if op == LOOP_TEST:
+                top = loops[-1]
+                if top[0] < top[1]:
+                    if ins[1] is not None:
+                        state[ins[1]] = top[0]
+                    pc += 1
+                else:
+                    loops.pop()
+                    pc = ins[2]
+            elif op == LOOP_NEXT:
+                loops[-1][0] += 1
+                pc = ins[1]
+            elif op == LOOP_ENTER:
+                loop = ins[1]
+                loops.append([0, loop.eval_count(state)])
+                if loop.var is not None:
+                    state[loop.var] = 0
+                pc += 1
+            elif op == JUMP:
+                pc = ins[1]
+            else:  # WHILE_TEST / IF: fall into the body or jump past it
+                pc = pc + 1 if ins[1](state) else ins[2]
+        self.pc = pc
         self.finished = True
-        return Action(kind="done")
+        return DONE
 
     def leaf_done(self) -> None:
         """The current leaf finished; advance past it."""
-        if not self.stack or self.stack[-1].kind != "leaf":
+        if not self._at_leaf:
             raise ProgramError("leaf_done with no leaf in progress")
+        self._at_leaf = False
         self.leaves_done += 1
-        self._pop()
+        self.pc += 1
 
     # --------------------------------------------------------- persistence
 
     def snapshot(self) -> dict:
         """Picklable continuation (the state dict travels separately)."""
         return {
-            "stack": [
-                (f.path, f.kind, f.idx, f.iters, f.count, f.branch)
-                for f in self.stack
-            ],
+            "pc": self.pc,
+            "loops": [list(frame) for frame in self.loops],
             "finished": self.finished,
             "leaves_done": self.leaves_done,
         }
@@ -124,65 +233,36 @@ class Interpreter:
     def restore(self, snap: dict) -> None:
         """Install a continuation captured by :meth:`snapshot`.
 
-        The program tree must be the same text (same shape); paths are
-        validated against it.
+        The program must be the same text (same shape): the program counter
+        and the loop-stack depth are validated against its compiled form,
+        and a continuation in any other format raises :class:`ProgramError`.
         """
-        stack = []
-        for path, kind, idx, iters, count, branch in snap["stack"]:
-            self.program.node_at(path)  # validates
-            stack.append(Frame(tuple(path), kind, idx, iters, count, branch))
-        self.stack = stack
+        if not isinstance(snap, dict) or not {"pc", "loops"} <= snap.keys():
+            keys = sorted(snap) if isinstance(snap, dict) else type(snap).__name__
+            raise ProgramError(
+                f"unrecognised continuation format (keys {keys}); expected a "
+                "pc-based continuation {'pc', 'loops', 'finished', "
+                "'leaves_done'} — tree-walk {'stack': ...} continuations "
+                "predate compiled programs"
+            )
+        pc = snap["pc"]
+        depth = self._compiled.depth
+        if not isinstance(pc, int) or not 0 <= pc < len(depth):
+            raise ProgramError(
+                f"continuation pc {pc!r} outside program {self.program.name!r} "
+                f"({len(depth) - 1} instructions)"
+            )
+        loops = [list(frame) for frame in snap["loops"]]
+        if len(loops) != depth[pc]:
+            raise ProgramError(
+                f"continuation has {len(loops)} loop counters at pc {pc}; "
+                f"program {self.program.name!r} nests {depth[pc]} loops there"
+            )
+        for frame in loops:
+            if len(frame) != 2 or not 0 <= frame[0] <= frame[1]:
+                raise ProgramError(f"invalid loop counter {frame!r}")
+        self.pc = pc
+        self.loops = loops
         self.finished = bool(snap["finished"])
         self.leaves_done = int(snap["leaves_done"])
-
-    # ------------------------------------------------------------ internals
-
-    def _open_frame(self, path: tuple[int, ...], node: Node) -> Frame:
-        if isinstance(node, Seq):
-            return Frame(path, "seq")
-        if isinstance(node, Loop):
-            frame = Frame(path, "loop", count=node.eval_count(self.state))
-            if node.var is not None:
-                self.state[node.var] = 0
-            return frame
-        if isinstance(node, While):
-            return Frame(path, "while")
-        if isinstance(node, If):
-            return Frame(path, "if")
-        if isinstance(node, (Compute, Call)):
-            return Frame(path, "leaf")
-        raise ProgramError(f"unknown node type {type(node).__name__}")
-
-    def _select_child(self, frame: Frame, node: Node) -> Optional[int]:
-        """Which child to run next, or None if the frame is exhausted."""
-        if frame.kind == "seq":
-            return frame.idx if frame.idx < len(node.children) else None
-        if frame.kind == "loop":
-            if frame.iters >= frame.count:
-                return None
-            if node.var is not None:
-                self.state[node.var] = frame.iters
-            return 0
-        if frame.kind == "while":
-            return 0 if node.cond(self.state) else None
-        if frame.kind == "if":
-            if frame.branch == 2:
-                return None
-            if frame.branch == -1:
-                frame.branch = 0 if node.cond(self.state) else 1
-            if frame.branch == 1 and node.orelse is None:
-                return None
-            return frame.branch
-        raise ProgramError(f"unexpected frame kind {frame.kind!r}")
-
-    def _pop(self) -> None:
-        self.stack.pop()
-        if not self.stack:
-            return
-        parent = self.stack[-1]
-        if parent.kind == "seq":
-            parent.idx += 1
-        elif parent.kind in ("loop", "while"):
-            parent.iters += 1
-        elif parent.kind == "if":
-            parent.branch = 2
+        self._at_leaf = False

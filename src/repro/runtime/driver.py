@@ -70,6 +70,14 @@ class RankDriver:
         self._pending: Optional[Callable[[], None]] = None
         #: outstanding call action while blocked in the lower half
         self.current_call: Optional[Action] = None
+        #: Identity of :attr:`current_call`'s dynamic instance, set when the
+        #: call is issued (None between calls): (leaf path, leaves completed
+        #: so far).  Stable across checkpoint and restart — the interpreter
+        #: continuation restores both components — so wrappers can make
+        #: side-effecting call bodies exactly-once even though restart
+        #: re-executes the leaf.  The leaf count cannot change while a call
+        #: is outstanding.
+        self.call_key: Optional[tuple] = None
         #: cumulative modeled compute seconds (diagnostics)
         self.compute_seconds = 0.0
 
@@ -129,16 +137,6 @@ class RankDriver:
         """True while the driver holds a stored continuation."""
         return self._pending is not None
 
-    def current_call_key(self) -> Optional[tuple]:
-        """Identity of the in-progress call leaf's dynamic instance:
-        (node path, leaves completed so far).  Stable across checkpoint and
-        restart — the interpreter continuation restores both components —
-        so wrappers can make side-effecting call bodies exactly-once even
-        though restart re-executes the leaf."""
-        if self.current_call is None:
-            return None
-        return (tuple(self.current_call.path), self.interp.leaves_done)
-
     # ------------------------------------------------------------- main loop
 
     def _advance(self) -> None:
@@ -160,7 +158,10 @@ class RankDriver:
                 return
             if action.kind == "compute":
                 node: Compute = action.node
-                cost = node.eval_cost(self.interp.state) / self.core_speed
+                cost = action.cost
+                if cost is None:
+                    cost = node.eval_cost(self.interp.state)
+                cost /= self.core_speed
                 node.fn(self.interp.state)
                 self.interp.leaf_done()
                 acc_cost += cost
@@ -202,6 +203,7 @@ class RankDriver:
     def _issue(self, action: Action) -> None:
         node: Call = action.node
         self.current_call = action
+        self.call_key = (action.path, self.interp.leaves_done)
         self.parked_at = "call"
         completion = node.fn(self.interp.state, self.api)
         if not isinstance(completion, Completion):
@@ -216,11 +218,10 @@ class RankDriver:
             return  # the call outlived its rank (e.g. a zombie collective)
         if node.store is not None:
             self.interp.state[node.store] = value
-        if self.leaf_done_hook is not None:
-            key = self.current_call_key()
-            if key is not None:
-                self.leaf_done_hook(key)
+        if self.leaf_done_hook is not None and self.call_key is not None:
+            self.leaf_done_hook(self.call_key)
         self.current_call = None
+        self.call_key = None
         self.parked_at = "running"
         self.interp.leaf_done()
         if self.quiesced:

@@ -14,7 +14,7 @@ from repro.facility.facility import Facility, FacilityError
 from repro.facility.spec import JobSpec, JobState
 from repro.facility.sweep import facility_sweep
 from repro.facility.workload import generate_jobs
-from repro.faults.models import NodeCrash, ScriptedFaults
+from repro.faults.models import NodeCrash, ScriptedFaults, SlowIO
 from repro.hardware.cluster import make_cluster
 from repro.mana.job import launch_mana
 from repro.mana.split_process import fixed_upper_bytes
@@ -88,6 +88,25 @@ def test_crash_recovery_from_periodic_checkpoint():
     assert rec.crashes == 1 and rec.restarts >= 1 and rec.checkpoints >= 1
     assert rec.fingerprint == _solo_fingerprint(wide)
     assert rep.crashes == 1
+
+
+def test_sliced_drain_injects_each_fault_once():
+    """Driving the drain in ``run(until=...)`` slices must not re-arm a
+    fault that is still pending: the scripted SlowIO fires exactly once,
+    as under a single ``run()``."""
+
+    def injected(slices):
+        fac = Facility(_cluster("slowio", 2), scheduler="fifo", seed=5,
+                       faults=ScriptedFaults(faults=(SlowIO(time=0.008),)))
+        rec = fac.submit(LONG_JOB)
+        for t in slices:
+            fac.run(until=t)
+        fac.run()
+        assert rec.state is JobState.COMPLETED
+        return fac.engine.metrics.total("faults.injected")
+
+    assert injected([]) == 1
+    assert injected([0.001, 0.002, 0.003, 0.004]) == 1
 
 
 def test_crash_during_preemption_falls_back_to_saved_checkpoint():

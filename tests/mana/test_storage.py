@@ -6,6 +6,7 @@ import pytest
 
 from repro.hardware.cluster import make_cluster
 from repro.mana import CheckpointError, restart
+from repro.mana.checkpoint_image import CheckpointSet
 from repro.mana.storage import describe_checkpoint, load_checkpoint, save_checkpoint
 
 from tests.mana.conftest import allreduce_factory, launch_small
@@ -56,6 +57,34 @@ def test_manifest_contents(cluster, checkpoint, tmp_path):
     assert manifest["n_ranks"] == 4
     assert len(manifest["images"]) == 4
     assert all("sha256" in e for e in manifest["images"])
+
+
+def test_overwrite_with_different_rank_count_refused(checkpoint, tmp_path):
+    """A 2-rank set must not land on a 4-rank directory: the old set would
+    keep rank_00002/3.img behind a 2-rank manifest.  The 4-rank set stays
+    intact and loadable."""
+    target = tmp_path / "ckpt"
+    save_checkpoint(checkpoint, target)
+    smaller = CheckpointSet(images=checkpoint.images[:2],
+                            meta=dict(checkpoint.meta))
+    with pytest.raises(CheckpointError, match="4-rank"):
+        save_checkpoint(smaller, target)
+    loaded = load_checkpoint(target)
+    assert loaded.n_ranks == 4
+    assert [img.payload for img in loaded.images] == \
+        [img.payload for img in checkpoint.images]
+
+
+def test_overwrite_with_same_rank_count_allowed(checkpoint, tmp_path):
+    """Re-saving a set of the same rank count over a directory replaces it
+    (chained checkpoint/restart cycles reuse one directory)."""
+    target = tmp_path / "ckpt"
+    save_checkpoint(checkpoint, target)
+    save_checkpoint(checkpoint, target)
+    loaded = load_checkpoint(target)
+    assert loaded.n_ranks == checkpoint.n_ranks
+    assert [img.payload for img in loaded.images] == \
+        [img.payload for img in checkpoint.images]
 
 
 def test_corruption_detected(cluster, checkpoint, tmp_path):

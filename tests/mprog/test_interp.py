@@ -211,12 +211,32 @@ class TestSnapshotRestore:
         assert fresh.state["log"] == ["a", "b", "a", "b", "a", "b"]
 
     def test_restore_validates_paths(self):
+        """The pc and the loop-stack depth are checked against the compiled
+        program; a continuation from another program shape is refused."""
         p = self.build()
         interp = Interpreter(p)
-        snap = interp.snapshot()
-        snap["stack"] = [((9, 9, 9), "leaf", 0, 0, 0, -1)]
-        with pytest.raises(ProgramError):
-            interp.restore(snap)
+        interp.next_action()  # inside the loop: one loop counter
+        good = interp.snapshot()
+        assert len(good["loops"]) == 1
+        for bad in (
+            {**good, "pc": 999},                      # past the end
+            {**good, "pc": -1},
+            {**good, "pc": "3"},
+            {**good, "loops": []},                    # too shallow here
+            {**good, "loops": [[0, 3], [0, 1]]},      # too deep here
+            {**good, "loops": [[4, 3]]},              # passes > bound
+        ):
+            with pytest.raises(ProgramError):
+                Interpreter(self.build()).restore(bad)
+        Interpreter(self.build()).restore(good)
+
+    def test_restore_rejects_tree_walk_continuation(self):
+        """A pre-compilation ``{"stack": ...}`` continuation raises a typed
+        ProgramError naming the format, never a KeyError."""
+        old = {"stack": [((0, 0), "leaf", 0, 0, 0, -1)], "finished": False,
+               "leaves_done": 0}
+        with pytest.raises(ProgramError, match="stack"):
+            Interpreter(self.build()).restore(old)
 
     def test_snapshot_at_every_leaf_boundary_resumes_identically(self):
         """Exhaustive: snapshotting before each leaf reproduces the tail."""
